@@ -391,9 +391,9 @@ func (p *Peer) pullRound(batch []*peerStream, q core.Query, opts SearchOptions, 
 				Gen:         ps.gen,
 			}
 			// The response is the raw chunk frame (transport.EncodeChunk),
-			// not a gob message — the savings the protocol exists for —
-			// so the call runs through the policy directly instead of
-			// InvokeRetry's gob decode.
+			// not a registered wire type, so the call runs through the
+			// policy directly and decodes with DecodeChunk instead of
+			// InvokeRetry's Unmarshal.
 			payload, err := transport.Marshal(req)
 			if err != nil {
 				out[i] = chunkOutcome{err: err}

@@ -383,6 +383,8 @@ func TestTransportConformance(t *testing.T) {
 				addr := addrOf(t)
 				m := NewMux()
 				type pair struct{ X, Y int }
+				Register(func(b []byte, p pair) []byte { return AppendInt(AppendInt(b, p.X), p.Y) },
+					func(r *Reader) pair { return pair{X: r.Int(), Y: r.Int()} })
 				m.Handle("add", func(b []byte) ([]byte, error) {
 					var p pair
 					if err := Unmarshal(b, &p); err != nil {

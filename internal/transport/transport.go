@@ -7,7 +7,9 @@
 //
 // A peer exposes one address with a method multiplexer (Mux); subsystems
 // (Chord routing, the directory service, query execution) register their
-// methods on the same Mux. Payloads are encoding/gob.
+// methods on the same Mux. Payloads use one hand-written binary codec
+// (codec.go): each package registers the encoder and decoder of its own
+// wire types, and Marshal/Unmarshal look them up by type.
 //
 // The overload layer rides the same abstraction: Mux.SetLimit arms
 // server-side admission control (bounded concurrency plus a short wait
@@ -20,8 +22,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -169,7 +169,7 @@ func (m *Mux) Methods() []string {
 
 // Caller issues RPCs.
 type Caller interface {
-	// Call invokes method at addr with the gob-encoded request payload
+	// Call invokes method at addr with the encoded request payload
 	// and returns the response payload. Application errors surface as
 	// *RemoteError; connectivity problems as ErrUnreachable (possibly
 	// wrapped).
@@ -182,23 +182,6 @@ type Network interface {
 	// Register starts serving the mux at addr and returns a function
 	// that stops serving (the peer "leaves the network").
 	Register(addr string, mux *Mux) (stop func(), err error)
-}
-
-// Marshal gob-encodes an RPC payload value.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal gob-decodes an RPC payload into v (a pointer).
-func Unmarshal(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
 }
 
 // Invoke is the typed convenience wrapper around Caller.Call: it encodes
